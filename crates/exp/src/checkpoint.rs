@@ -15,7 +15,7 @@
 
 use lingxi_fleet::{
     AbrMix, ContentionConfig, FleetConfig, FleetEngine, FleetReport, FleetScenario,
-    PersistenceConfig, PopulationDynamics, RunControl, RunOutcome,
+    PopulationDynamics, RunControl, RunOutcome,
 };
 use lingxi_net::ProductionMixture;
 use lingxi_workload::{ArrivalKind, ClassRegistry, Poisson};
@@ -32,10 +32,6 @@ const STOP_AFTER: usize = 2;
 
 /// Shard counts the contract is checked at.
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
-
-fn state_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lingxi_ckpt_exp_{}_{tag}", std::process::id()))
-}
 
 fn scenario(scale: f64) -> FleetScenario {
     FleetScenario {
@@ -56,7 +52,6 @@ fn config(shards: usize, seed: u64, scale: f64, dir: &std::path::Path) -> FleetC
         epochs: EPOCHS,
         seed,
         state_dir: dir.to_path_buf(),
-        persistence: PersistenceConfig::binary_log(),
         contention: Some(ContentionConfig {
             links: ((8.0 * scale).round() as usize).max(3),
             capacity_kbps: 25_000.0,
@@ -77,10 +72,8 @@ fn config(shards: usize, seed: u64, scale: f64, dir: &std::path::Path) -> FleetC
 /// One straight run and one killed-then-resumed run at `shards`; errors
 /// unless they agree bit-exactly. Returns the straight report.
 fn run_pair(shards: usize, seed: u64, scale: f64) -> Result<FleetReport> {
-    let straight_dir = state_dir(&format!("straight{shards}_s{seed}"));
-    let resumed_dir = state_dir(&format!("resumed{shards}_s{seed}"));
-    let _ = std::fs::remove_dir_all(&straight_dir);
-    let _ = std::fs::remove_dir_all(&resumed_dir);
+    let straight_dir = crate::scratch_state_dir(&format!("ckpt_exp_straight{shards}_s{seed}"));
+    let resumed_dir = crate::scratch_state_dir(&format!("ckpt_exp_resumed{shards}_s{seed}"));
     let scenario = scenario(scale);
 
     let straight = FleetEngine::new(config(shards, seed, scale, &straight_dir))

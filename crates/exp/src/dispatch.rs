@@ -20,8 +20,8 @@
 //!    `StaticHash` on the heterogeneous 1:4 skew.
 
 use lingxi_fleet::{
-    AbrMix, ContentionConfig, DispatchConfig, DispatchPolicy, FleetConfig, FleetEngine,
-    FleetReport, FleetScenario,
+    AbrMix, ContentionConfig, DispatchConfig, DispatchPolicy, FleetConfig, FleetReport,
+    FleetScenario,
 };
 use lingxi_net::ProductionMixture;
 
@@ -41,12 +41,9 @@ pub fn hetero_weights() -> Vec<f64> {
         .collect()
 }
 
-fn state_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lingxi_dispatch_{}_{tag}", std::process::id()))
-}
-
 /// Run one dispatch cell: the static population on the 8-link pod under
-/// the given dispatch layer (`None` = the legacy pre-dispatch engine).
+/// the given dispatch layer (`None` = the engine's default static hash,
+/// with no placement record).
 /// Public so smoke/golden tests can pin per-cell output.
 pub fn run_cell(
     dispatch: Option<DispatchConfig>,
@@ -64,13 +61,10 @@ pub fn run_cell(
         mixture: ProductionMixture::default(),
         abr_mix: AbrMix::default(),
     };
-    let dir = state_dir(&format!("{tag}_s{seed}_n{shards}"));
-    let _ = std::fs::remove_dir_all(&dir);
     let config = FleetConfig {
         shards,
         epochs: EPOCHS,
         seed,
-        state_dir: dir.clone(),
         contention: Some(ContentionConfig {
             links: LINKS,
             capacity_kbps: 25_000.0,
@@ -80,12 +74,8 @@ pub fn run_cell(
         dispatch,
         ..FleetConfig::default()
     };
-    let report = FleetEngine::new(config)
-        .map_err(crate::sub)?
-        .run(&scenario)
-        .map_err(crate::sub)?;
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(report)
+    let tag = format!("dispatch_{tag}_s{seed}_n{shards}");
+    crate::run_fleet_scratch(config, &scenario, &tag)
 }
 
 /// Bit-exact equality of two cells (merged scalars and sketches).

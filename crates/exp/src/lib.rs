@@ -84,6 +84,33 @@ pub fn sub<E: std::fmt::Display>(e: E) -> ExpError {
     ExpError::Subsystem(e.to_string())
 }
 
+/// A fresh, empty scratch state directory for one fleet run. Unique per
+/// process and `tag`; tests run experiments with different seeds on
+/// parallel threads of one process, so callers fold the seed (and shard
+/// count) into `tag`.
+pub(crate) fn scratch_state_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("lingxi_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Run `scenario` to completion under `config`, with the durable state in
+/// a [`scratch_state_dir`] that is removed afterwards.
+pub(crate) fn run_fleet_scratch(
+    config: lingxi_fleet::FleetConfig,
+    scenario: &lingxi_fleet::FleetScenario,
+    tag: &str,
+) -> Result<lingxi_fleet::FleetReport> {
+    let dir = scratch_state_dir(tag);
+    let config = lingxi_fleet::FleetConfig {
+        state_dir: dir.clone(),
+        ..config
+    };
+    let report = lingxi_fleet::FleetEngine::new(config).and_then(|engine| engine.run(scenario));
+    let _ = std::fs::remove_dir_all(&dir);
+    report.map_err(sub)
+}
+
 /// All paper-figure experiment ids in paper order. The `fleet` scale
 /// experiment (see [`fleet`]), the `flashcrowd` contention scenario
 /// (see [`flashcrowd`]), the `population` dynamics scenario (see

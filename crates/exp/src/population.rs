@@ -27,7 +27,7 @@ use std::path::PathBuf;
 
 use lingxi_fleet::{
     AbrMix, ContentionConfig, FleetCheckpoint, FleetConfig, FleetEngine, FleetReport,
-    FleetScenario, PersistenceConfig, PopulationDynamics, RunControl, RunOutcome,
+    FleetScenario, PopulationDynamics, RunControl, RunOutcome,
 };
 use lingxi_net::ProductionMixture;
 use lingxi_workload::{ArrivalKind, ClassRegistry, Diurnal};
@@ -47,10 +47,6 @@ const DAY_SECONDS: f64 = 86_400.0;
 /// Per-class ramp curves being accumulated: (class name, stall-per-session
 /// points, watch-per-session points).
 type ClassCurves = Vec<(String, Vec<(f64, f64)>, Vec<(f64, f64)>)>;
-
-fn state_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("lingxi_population_{}_{tag}", std::process::id()))
-}
 
 /// Checkpoint/resume knobs threaded from the `experiments` CLI into the
 /// rate-ramp cells. Defaults reproduce the historical behaviour: fresh
@@ -122,9 +118,12 @@ fn run_cell_opts(spec: CellSpec, tag: &str, ckpt: &CheckpointOpts) -> Result<Cel
     // under `state_root` when the caller wants checkpoint/resume.
     let (dir, ephemeral) = match &ckpt.state_root {
         Some(root) => (root.join(tag), false),
-        None => (state_dir(&format!("{tag}_s{seed}")), true),
+        None => (
+            crate::scratch_state_dir(&format!("population_{tag}_s{seed}")),
+            true,
+        ),
     };
-    if ephemeral || !ckpt.resume {
+    if !ephemeral && !ckpt.resume {
         let _ = std::fs::remove_dir_all(&dir);
     }
     let config = FleetConfig {
@@ -132,7 +131,6 @@ fn run_cell_opts(spec: CellSpec, tag: &str, ckpt: &CheckpointOpts) -> Result<Cel
         epochs: days,
         seed,
         state_dir: dir.clone(),
-        persistence: PersistenceConfig::binary_log(),
         checkpoint_every: ckpt.checkpoint_every,
         contention: Some(ContentionConfig {
             links,

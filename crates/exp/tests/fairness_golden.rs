@@ -12,11 +12,12 @@
 //!    rescaling, the RTT composition or the metric pipeline that moves a
 //!    single bit of this scenario shows up as a diff of this file.
 //!
-//! CI runs this test in both event-queue lanes (default timer wheel and
-//! `--features reference-heap`); the constants are lane-independent
-//! because the queue swap is behaviourally exact. The fingerprints are
-//! taken over `Debug`-formatted merged metrics and sketches, which print
-//! floats in shortest-roundtrip form — injective on the underlying bits.
+//! The contention kernel's timer-wheel arrival queue pops in exactly the
+//! order of the reference binary heap (proptested in
+//! `crates/net/tests/event_queue_props.rs`), so these constants are also
+//! the heap's. The fingerprints are taken over `Debug`-formatted merged
+//! metrics and sketches, which print floats in shortest-roundtrip form —
+//! injective on the underlying bits.
 //! They assume one platform's libm (CI and the dev container are both
 //! x86-64 Linux); to deliberately re-baseline, run with
 //! `REGEN=1 ... -- --nocapture` and copy the printed table.

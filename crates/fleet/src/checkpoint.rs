@@ -16,15 +16,19 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
+use crate::config::{FleetConfig, FleetScenario};
 use crate::report::EpochMetrics;
 use crate::{FleetError, Result};
 
 /// Version of the checkpoint manifest schema. v2: epochs carry the
 /// dispatch-layer record (`EpochMetrics::dispatch`) — a resumed LSQ run
-/// re-seeds its estimates from the last completed epoch's placements, so
-/// v1 manifests (which cannot carry one) are refused rather than resumed
-/// with silently reset estimates.
-pub const CHECKPOINT_SCHEMA: u32 = 2;
+/// re-seeds its estimates from the last completed epoch's placements.
+/// v3: the manifest carries the run's
+/// [`config fingerprint`](FleetCheckpoint::config_fingerprint), so resume
+/// refuses any config drift, not only a changed seed, epoch count or
+/// scenario name. Older manifests are refused rather than resumed
+/// unchecked.
+pub const CHECKPOINT_SCHEMA: u32 = 3;
 
 /// Filename of the manifest inside the state directory.
 pub const CHECKPOINT_FILE: &str = "fleet_ckpt.json";
@@ -34,11 +38,14 @@ pub const CHECKPOINT_FILE: &str = "fleet_ckpt.json";
 pub struct FleetCheckpoint {
     /// Manifest schema version.
     pub schema: u32,
-    /// Base seed of the checkpointed run (resume refuses a mismatch).
+    /// [`FleetCheckpoint::config_fingerprint`] of the checkpointed run
+    /// (resume refuses a mismatch).
+    pub fingerprint: u64,
+    /// Base seed of the checkpointed run.
     pub seed: u64,
     /// Total epochs the run is configured for.
     pub total_epochs: usize,
-    /// Scenario label of the checkpointed run (resume refuses a mismatch).
+    /// Scenario label of the checkpointed run.
     pub scenario: String,
     /// First epoch the resumed run must execute.
     pub next_epoch: usize,
@@ -56,6 +63,29 @@ pub struct FleetCheckpoint {
 }
 
 impl FleetCheckpoint {
+    /// A 64-bit FNV-1a hash of the `Debug` output of `scenario` and
+    /// `config`, taken after resetting the fields that cannot change a
+    /// run's output: `shards` (merged metrics are shard-count
+    /// invariant), `state_dir`, `checkpoint_every`, `cache` and
+    /// `persistence`. Two runs with equal fingerprints compute the same
+    /// epochs, so a manifest may only be resumed under its own.
+    pub fn config_fingerprint(config: &FleetConfig, scenario: &FleetScenario) -> u64 {
+        let defaults = FleetConfig::default();
+        let config = FleetConfig {
+            shards: defaults.shards,
+            state_dir: defaults.state_dir,
+            checkpoint_every: defaults.checkpoint_every,
+            cache: defaults.cache,
+            persistence: defaults.persistence,
+            ..config.clone()
+        };
+        format!("{scenario:?}|{config:?}")
+            .bytes()
+            .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+            })
+    }
+
     /// Path of the manifest inside `state_dir`.
     pub fn path_in(state_dir: &Path) -> PathBuf {
         state_dir.join(CHECKPOINT_FILE)
@@ -129,6 +159,7 @@ mod tests {
         });
         let ckpt = FleetCheckpoint {
             schema: CHECKPOINT_SCHEMA,
+            fingerprint: 0xF1A6_E4B1_0000_0001,
             seed: 42,
             total_epochs: 6,
             scenario: "bench".into(),

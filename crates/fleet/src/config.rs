@@ -114,18 +114,18 @@ impl AbrMix {
 }
 
 /// Shared-bottleneck contention mode: instead of a private trace per
-/// session, users hash onto a fixed set of shared links
-/// ([`lingxi_net::SharedBottleneck`]) and their concurrent downloads split
-/// each link's capacity max-min fair.
+/// session, the dispatch layer places users on a fixed set of shared
+/// links ([`lingxi_net::SharedBottleneck`]) and their concurrent
+/// downloads split each link's capacity max-min fair.
 ///
-/// Determinism: the user→link assignment depends only on (seed, user id),
-/// and in contention mode shards own *links* rather than users, so every
-/// link's event-driven co-simulation runs single-threaded with an event
-/// order derived from (seed, link members, epoch) alone — merged metrics
-/// stay bit-identical for any shard count.
+/// Determinism: the user→link placement never depends on the shard
+/// count, and in contention mode shards own *links* rather than users,
+/// so every link's event-driven co-simulation runs single-threaded with
+/// an event order derived from (seed, link members, epoch) alone —
+/// merged metrics stay bit-identical for any shard count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentionConfig {
-    /// Number of shared bottleneck links users hash onto.
+    /// Number of shared bottleneck links users are placed on.
     pub links: usize,
     /// Capacity of each link (kbps).
     pub capacity_kbps: f64,
@@ -261,35 +261,26 @@ impl PopulationDynamics {
     }
 }
 
-/// Which durable [`lingxi_core::StateBackend`] persists long-term user
-/// state under [`FleetConfig::state_dir`].
+/// Durable persistence of long-term user state under
+/// [`FleetConfig::state_dir`]: the fleet always keeps it in a sharded
+/// append-only binary log with compacting snapshots
+/// ([`lingxi_core::BinaryStateLog`]), so a barrier flush is a handful of
+/// sequential appends however many users churned. This only sizes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PersistenceConfig {
-    /// Legacy file-per-user JSON ([`lingxi_core::StateStore`]): one
-    /// `user_<id>.json` per user, every save a write+rename pair. Kept
-    /// for single-session tooling and as the migration source (the
-    /// default for backwards compatibility).
-    #[default]
-    FileJson,
-    /// Sharded append-only binary log with compacting snapshots
-    /// ([`lingxi_core::BinaryStateLog`]) — the fleet-scale backend: a
-    /// barrier flush is a handful of sequential appends however many
-    /// users churned.
-    BinaryLog(BinLogConfig),
+pub struct PersistenceConfig {
+    /// Sizing and compaction policy of the binary log.
+    pub log: BinLogConfig,
 }
 
 impl PersistenceConfig {
     /// The binary log with default sizing.
     pub fn binary_log() -> Self {
-        PersistenceConfig::BinaryLog(BinLogConfig::default())
+        Self::default()
     }
 
     /// Validate the configuration.
     pub fn validate(&self) -> Result<()> {
-        match self {
-            PersistenceConfig::FileJson => Ok(()),
-            PersistenceConfig::BinaryLog(cfg) => cfg.validate().map_err(crate::sub),
-        }
+        self.log.validate().map_err(crate::sub)
     }
 }
 
@@ -307,7 +298,8 @@ pub struct FleetConfig {
     /// directory warm-starts users from persisted state (a production
     /// restart); use a fresh directory for reproducible runs.
     pub state_dir: PathBuf,
-    /// Which durable backend lives in `state_dir`.
+    /// Sizing of the binary state log that lives in `state_dir` (the
+    /// fleet's only durable backend).
     pub persistence: PersistenceConfig,
     /// Checkpoint cadence: every `checkpoint_every` epochs the engine
     /// compacts the backend at the barrier and writes a resume manifest
@@ -332,8 +324,11 @@ pub struct FleetConfig {
     /// single max-min link per group.
     pub fairness: Option<FairnessConfig>,
     /// Dispatch layer (user→link placement policy + heterogeneous link
-    /// capacity weights); requires `contention`. `None` keeps the legacy
-    /// static id-hash placement bit-exactly.
+    /// capacity weights); requires `contention`. Every contended epoch
+    /// places its cohort through a dispatcher: `None` runs the
+    /// [`crate::StaticHash`] policy over the default weights and records
+    /// no [`crate::DispatchEpoch`], which keeps reports bit-identical to
+    /// `Some(DispatchConfig::static_hash())` minus the placement record.
     pub dispatch: Option<DispatchConfig>,
 }
 

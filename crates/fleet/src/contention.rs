@@ -1,8 +1,8 @@
 //! The shared-bottleneck contention kernel: event-driven co-simulation of
 //! every session sharing a link.
 //!
-//! In contention mode each shard owns whole *links* (see
-//! [`FleetEngine::link_of`]); this module runs one link's users as a
+//! In contention mode each shard owns whole *links* (the dispatch layer,
+//! [`crate::dispatch`], places every user on one); this module runs one link's users as a
 //! deterministic discrete-event simulation. Each user is a [`LinkAgent`]
 //! wrapping the resumable session steppers ([`SessionStream`] /
 //! [`ManagedSession`]): the kernel pops the earliest event — a flow
@@ -38,9 +38,8 @@
 //! `BTreeMap<u64, Vec<&EpochUser>>` grouping (one sort, contiguous runs
 //! per link), ascending `uids` / `caps` vectors replace the per-link
 //! id→agent `BTreeMap` (binary search on a dense sorted array), and the
-//! pending-arrival queue is a [`TimerWheel`] (the `reference-heap`
-//! feature swaps in [`BinaryHeapQueue`] — CI runs the suite both ways to
-//! enforce pop-order equivalence). Agent RNG streams are block-buffered
+//! pending-arrival queue is a [`TimerWheel`] (its pop order is proptested
+//! identical to the reference `lingxi_net::BinaryHeapQueue`). Agent RNG streams are block-buffered
 //! ([`BlockRng`]) StdRng draws: same per-(user, epoch) stream, drawn in
 //! batches of 64 words.
 
@@ -51,11 +50,7 @@ use lingxi_core::{
     SessionBuffers, ShardedStateCache,
 };
 use lingxi_media::{BitrateLadder, Catalog, Video};
-#[cfg(feature = "reference-heap")]
-use lingxi_net::BinaryHeapQueue;
-#[cfg(not(feature = "reference-heap"))]
-use lingxi_net::TimerWheel;
-use lingxi_net::{Download, EventQueue, FlowEnd, RttModel, SharedBottleneck};
+use lingxi_net::{Download, EventQueue, FlowEnd, RttModel, SharedBottleneck, TimerWheel};
 use lingxi_player::{ExitDecision, PlayerConfig, SessionStream};
 use lingxi_user::{ExitModel, QosExitModel, SegmentView, ToleranceDrift, UserRecord};
 use rand::rngs::{BlockRng, StdRng};
@@ -72,13 +67,6 @@ struct ArrivalPayload {
     size_kbits: f64,
 }
 
-/// The kernel's arrival queue: timer wheel by default, the reference
-/// binary heap under the `reference-heap` feature (CI runs both).
-#[cfg(not(feature = "reference-heap"))]
-type ArrivalQueue = TimerWheel<ArrivalPayload>;
-#[cfg(feature = "reference-heap")]
-type ArrivalQueue = BinaryHeapQueue<ArrivalPayload>;
-
 /// Per-agent RNG: the per-(user, epoch) StdRng stream, block-buffered.
 type AgentRng = BlockRng<StdRng>;
 
@@ -92,7 +80,7 @@ pub(crate) struct ContentionScratch {
     /// old per-epoch `BTreeMap` link grouping.
     pairs: Vec<(u64, u32)>,
     /// Pending arrivals, cleared between links.
-    queue: ArrivalQueue,
+    queue: TimerWheel<ArrivalPayload>,
     /// Ascending user ids of the link's live agents.
     uids: Vec<u64>,
     /// Per-agent flow caps, parallel to `uids` (struct-of-arrays).
@@ -439,7 +427,7 @@ fn run_link_epoch(
     cache: &ShardedStateCache,
     sketches: &mut EpochSketches,
     rows: &mut Vec<UserEpochRow>,
-    queue: &mut ArrivalQueue,
+    queue: &mut TimerWheel<ArrivalPayload>,
     uids: &mut Vec<u64>,
     caps: &mut Vec<f64>,
     routes: &mut Vec<u16>,

@@ -26,7 +26,7 @@ use lingxi_abr::AbrContext;
 use lingxi_abtest::{did_report, AbSchedule, DayAccum};
 use lingxi_core::{
     run_managed_session_in, BinaryStateLog, LingXiController, ProfilePredictor, SessionBuffers,
-    ShardedStateCache, StateBackend, StateStore,
+    ShardedStateCache, StateBackend,
 };
 use lingxi_media::{BitrateLadder, Catalog, CatalogConfig, VbrModel};
 use lingxi_player::{run_session, ExitDecision, SessionSetup};
@@ -38,7 +38,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::checkpoint::FleetCheckpoint;
-use crate::config::{AbrPolicy, FleetConfig, FleetScenario, PersistenceConfig, PopulationDynamics};
+use crate::config::{AbrPolicy, FleetConfig, FleetScenario, PopulationDynamics};
+use crate::dispatch::{DispatchConfig, DispatchEpoch, Dispatcher};
 use crate::report::{EpochMetrics, EpochSketches, FleetReport};
 use crate::{mix64, sub, FleetError, Result};
 
@@ -46,7 +47,9 @@ use crate::{mix64, sub, FleetError, Result};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunControl {
     /// Resume from the checkpoint manifest in the state directory
-    /// (refused when none exists or its seed/scenario/epochs mismatch).
+    /// (refused when none exists or it was written by a run with a
+    /// different scenario or output-relevant configuration — see
+    /// [`FleetCheckpoint::config_fingerprint`]).
     pub resume: bool,
     /// Suspend — compact the backend, write a checkpoint, return
     /// [`RunOutcome::Suspended`] — after this many epochs have run in
@@ -76,9 +79,9 @@ pub(crate) struct EpochUser {
     pub(crate) arrival: Option<f64>,
     /// Index into the dynamics registry's user classes.
     pub(crate) class: Option<u16>,
-    /// The shared link this user's sessions contend on this epoch.
-    /// Initialised to the static hash; the dispatch layer overwrites it
-    /// per epoch. Shard ownership follows this field in contention mode.
+    /// The shared link this user's sessions contend on this epoch. Only
+    /// the dispatch pass writes it (contention mode); shard ownership
+    /// follows it there.
     pub(crate) link: u64,
 }
 
@@ -124,19 +127,6 @@ impl FleetEngine {
             Some(_) => (mix64(user.link) % self.config.shards as u64) as usize,
             None => (mix64(user.record.id) % self.config.shards as u64) as usize,
         }
-    }
-
-    /// The *static-hash* link assignment (the dispatch layer's reference
-    /// policy and the placement used whenever `dispatch` is `None`).
-    /// Derived from (seed, user id) only — never from the shard count.
-    pub(crate) fn link_of(&self, user_id: u64) -> u64 {
-        let links = self
-            .config
-            .contention
-            .as_ref()
-            .map(|c| c.links as u64)
-            .unwrap_or(1);
-        crate::dispatch::static_link_of(self.config.seed, user_id, links)
     }
 
     /// Real capacity of one shared link (kbps): the link-class registry's
@@ -239,7 +229,7 @@ impl FleetEngine {
                     record,
                     arrival: Some(e.at),
                     class: Some(e.class),
-                    link: self.link_of(id),
+                    link: 0,
                 }
             })
             .collect()
@@ -261,12 +251,12 @@ impl FleetEngine {
     /// every stream seed derive from those alone.
     fn dispatch_epoch(
         &self,
-        dispatcher: &mut dyn crate::dispatch::Dispatcher,
+        dispatcher: &mut dyn Dispatcher,
         cohort: &mut [EpochUser],
         epoch: usize,
         snapshot: &[u64],
         weights: &[f64],
-    ) -> crate::dispatch::DispatchEpoch {
+    ) -> DispatchEpoch {
         dispatcher.refresh(snapshot);
         let mut placements = vec![0u64; weights.len()];
         for user in cohort.iter_mut() {
@@ -279,7 +269,7 @@ impl FleetEngine {
             .zip(weights)
             .map(|(&c, &w)| c as f64 / w)
             .fold(0.0, f64::max);
-        crate::dispatch::DispatchEpoch {
+        DispatchEpoch {
             placements,
             max_weighted_occupancy,
             dispatcher_loads: dispatcher.dispatcher_loads().to_vec(),
@@ -325,63 +315,46 @@ impl FleetEngine {
         )
         .map_err(sub)?;
 
-        // Static cohort (replayed every epoch) unless dynamics drive the
-        // population. Without a dispatch layer its links are fixed, so it
-        // is sharded once up front; with one, placements (and therefore
-        // shard ownership) move every epoch, so the cohort is kept whole
-        // and re-partitioned after each dispatch pass.
-        let static_population: Option<Vec<EpochUser>> = match &self.config.dynamics {
-            Some(_) => None,
-            None => {
-                let population = UserPopulation::generate(
-                    &PopulationConfig {
-                        n_users: scenario.n_users,
-                        mixture: scenario.mixture,
-                        mean_sessions_per_day: scenario.mean_sessions_per_epoch,
-                    },
-                    &mut world_rng,
-                )
-                .map_err(sub)?;
-                Some(
-                    population
-                        .users()
-                        .iter()
-                        .map(|u| EpochUser {
-                            record: *u,
-                            arrival: None,
-                            class: None,
-                            link: self.link_of(u.id),
-                        })
-                        .collect(),
-                )
-            }
+        // The static cohort replays every epoch; in dynamics mode it stays
+        // empty and each epoch's arrivals form the cohort instead.
+        let static_population: Vec<EpochUser> = match &self.config.dynamics {
+            Some(_) => Vec::new(),
+            None => UserPopulation::generate(
+                &PopulationConfig {
+                    n_users: scenario.n_users,
+                    mixture: scenario.mixture,
+                    mean_sessions_per_day: scenario.mean_sessions_per_epoch,
+                },
+                &mut world_rng,
+            )
+            .map_err(sub)?
+            .users()
+            .iter()
+            .map(|u| EpochUser {
+                record: *u,
+                arrival: None,
+                class: None,
+                link: 0,
+            })
+            .collect(),
         };
-        let (static_shards, static_cohort): (Option<Vec<Vec<EpochUser>>>, Option<Vec<EpochUser>>) =
-            match static_population {
-                Some(pop) if self.config.dispatch.is_none() => {
-                    (Some(self.shard_partition(pop)), None)
-                }
-                Some(pop) => (None, Some(pop)),
-                None => (None, None),
-            };
 
-        // Durable layer + cache; surface the startup scan (corrupt
-        // filenames, torn log tails) instead of silently dropping users.
-        let backend: Arc<dyn StateBackend> = match &self.config.persistence {
-            PersistenceConfig::FileJson => {
-                Arc::new(StateStore::open(&self.config.state_dir).map_err(sub)?)
-            }
-            PersistenceConfig::BinaryLog(cfg) => {
-                Arc::new(BinaryStateLog::open(&self.config.state_dir, *cfg).map_err(sub)?)
-            }
-        };
+        // Durable layer + cache; surface the startup scan (torn log
+        // tails) instead of silently dropping users.
+        let backend: Arc<dyn StateBackend> = Arc::new(
+            BinaryStateLog::open(&self.config.state_dir, self.config.persistence.log)
+                .map_err(sub)?,
+        );
         let state_warnings = backend.scan().map_err(sub)?.warnings;
         let cache = ShardedStateCache::with_backend(Arc::clone(&backend), self.config.cache)
             .map_err(sub)?;
 
         // Resume: adopt the manifest's accumulators and epoch cursor. The
         // durable backend already holds every state the checkpointed run
-        // flushed at its last barrier.
+        // flushed at its last barrier. A manifest written under any other
+        // scenario or output-relevant configuration is refused: resuming
+        // it would splice two different runs.
+        let fingerprint = FleetCheckpoint::config_fingerprint(&self.config, scenario);
         let resumed = if control.resume {
             let ckpt = FleetCheckpoint::load(&self.config.state_dir)?.ok_or_else(|| {
                 FleetError::InvalidConfig(format!(
@@ -389,19 +362,18 @@ impl FleetEngine {
                     self.config.state_dir
                 ))
             })?;
-            if ckpt.seed != self.config.seed
-                || ckpt.total_epochs != self.config.epochs
-                || ckpt.scenario != scenario.name
-            {
+            if ckpt.fingerprint != fingerprint {
                 return Err(FleetError::InvalidConfig(format!(
-                    "checkpoint (seed {}, {} epochs, scenario {:?}) does not match this run \
-                     (seed {}, {} epochs, scenario {:?})",
+                    "checkpoint (seed {}, {} epochs, scenario {:?}, config {:016x}) does not \
+                     match this run (seed {}, {} epochs, scenario {:?}, config {:016x})",
                     ckpt.seed,
                     ckpt.total_epochs,
                     ckpt.scenario,
+                    ckpt.fingerprint,
                     self.config.seed,
                     self.config.epochs,
-                    scenario.name
+                    scenario.name,
+                    fingerprint
                 )));
             }
             Some(ckpt)
@@ -425,13 +397,7 @@ impl FleetEngine {
 
         // detlint::allow(wall_clock, reason = "wall-time reporting only; never feeds simulated state or metrics")
         let start = Instant::now();
-        let static_users: usize = static_shards
-            .as_ref()
-            // detlint::allow(unordered_float_merge, reason = "usize count over per-shard Vec lengths; integer addition is order-free")
-            .map(|s| s.iter().map(Vec::len).sum())
-            .unwrap_or_else(|| static_cohort.as_ref().map_or(0usize, Vec::len));
-        // A resumed run adopts the checkpoint's counters (the static
-        // cohort was already counted once — do not recount it).
+        // A resumed run adopts the checkpoint's counters.
         let (start_epoch, mut epochs, mut sessions, mut segments, mut users_total, prior_elapsed) =
             match resumed {
                 Some(c) => (
@@ -447,62 +413,59 @@ impl FleetEngine {
                     Vec::with_capacity(self.config.epochs),
                     0usize,
                     0usize,
-                    static_users,
+                    0usize,
                     Duration::ZERO,
                 ),
             };
-        // Dispatch layer: one dispatcher for the whole run; its estimates
-        // refresh at every epoch barrier from the previous epoch's
-        // placement snapshot (the stale-information regime). A resumed
-        // run re-seeds the snapshot from the manifest's last completed
-        // epoch (zeros before epoch 0), so resume stays bit-identical to
-        // an uninterrupted run.
+        // Dispatch layer (contention mode): one dispatcher for the whole
+        // run — the configured policy, else the static hash. Its
+        // estimates refresh at every epoch barrier from the previous
+        // epoch's placement snapshot (the stale-information regime). A
+        // resumed run re-seeds the snapshot from the manifest's last
+        // completed epoch (zeros before epoch 0), so resume stays
+        // bit-identical to an uninterrupted run.
         let dispatch_weights = self.dispatch_weights();
-        let mut dispatcher: Option<Box<dyn crate::dispatch::Dispatcher>> = self
-            .config
-            .dispatch
-            .as_ref()
-            .map(|d| d.build(self.config.seed, dispatch_weights.clone()));
+        let mut dispatcher = self.config.contention.as_ref().map(|_| {
+            self.config
+                .dispatch
+                .clone()
+                .unwrap_or_else(DispatchConfig::static_hash)
+                .build(self.config.seed, dispatch_weights.clone())
+        });
         let mut dispatch_snapshot: Vec<u64> = epochs
             .last()
             .and_then(|e: &EpochMetrics| e.dispatch.as_ref())
             .map(|d| d.placements.clone())
             .unwrap_or_else(|| vec![0; dispatch_weights.len()]);
         for epoch in start_epoch..self.config.epochs {
-            // Epoch cohort (when one must be rebuilt) → dispatch pass →
-            // shard partition. Dynamics regenerate the cohort every epoch;
-            // a dispatch layer re-places even the static cohort, since its
-            // estimates — and with them link placement and shard
-            // ownership — evolve across barriers.
-            let mut epoch_cohort: Option<Vec<EpochUser>> = match &self.config.dynamics {
-                Some(d) => Some(self.dynamic_epoch_users(d, epoch)),
-                None => dispatcher.as_ref().and(static_cohort.clone()),
+            // ---- epoch pipeline: cohort → place → partition ----
+            let mut cohort = match &self.config.dynamics {
+                Some(d) => self.dynamic_epoch_users(d, epoch),
+                None => static_population.clone(),
             };
-            let dispatch_info = match (&mut dispatcher, &mut epoch_cohort) {
-                (Some(dsp), Some(cohort)) => {
+            // The static cohort is the same users every epoch: count it
+            // once. A resumed run never re-runs epoch 0.
+            if self.config.dynamics.is_some() || epoch == 0 {
+                // detlint::allow(unordered_float_merge, reason = "usize cohort size; integer addition is order-free")
+                users_total += cohort.len();
+            }
+            // Placement is recorded only for a configured dispatch layer,
+            // so `dispatch: None` reports stay byte-identical.
+            let dispatch_info = dispatcher
+                .as_mut()
+                .map(|dsp| {
                     let info = self.dispatch_epoch(
                         dsp.as_mut(),
-                        cohort,
+                        &mut cohort,
                         epoch,
                         &dispatch_snapshot,
                         &dispatch_weights,
                     );
                     dispatch_snapshot.clone_from(&info.placements);
-                    Some(info)
-                }
-                _ => None,
-            };
-            let epoch_shards = epoch_cohort.map(|c| self.shard_partition(c));
-            if self.config.dynamics.is_some() {
-                if let Some(shards) = &epoch_shards {
-                    // detlint::allow(unordered_float_merge, reason = "usize count of cohort sizes; integer addition is order-free")
-                    users_total += shards.iter().map(Vec::len).sum::<usize>();
-                }
-            }
-            let shard_users = epoch_shards
-                .as_ref()
-                .or(static_shards.as_ref())
-                .expect("static or dynamic cohort exists");
+                    info
+                })
+                .filter(|_| self.config.dispatch.is_some());
+            let shard_users = self.shard_partition(cohort);
 
             // ---- parallel phase: one worker per shard ----
             //
@@ -613,6 +576,7 @@ impl FleetEngine {
                 backend.checkpoint().map_err(sub)?;
                 let ckpt = FleetCheckpoint {
                     schema: crate::checkpoint::CHECKPOINT_SCHEMA,
+                    fingerprint,
                     seed: self.config.seed,
                     total_epochs: self.config.epochs,
                     scenario: scenario.name.clone(),
@@ -854,6 +818,15 @@ mod tests {
         dir
     }
 
+    /// Users held by the binary state log a finished run left in `dir`.
+    fn persisted_users(dir: &std::path::Path) -> usize {
+        BinaryStateLog::open(dir, lingxi_core::BinLogConfig::default())
+            .unwrap()
+            .list()
+            .unwrap()
+            .len()
+    }
+
     fn small_scenario() -> FleetScenario {
         FleetScenario {
             name: "small".into(),
@@ -951,13 +924,19 @@ mod tests {
             .run(&scenario)
             .unwrap();
         assert!(first.state_warnings.is_empty());
-        let persisted = StateStore::open(&dir).unwrap().list().unwrap();
-        assert_eq!(persisted.len(), 24, "write-behind flushed all users");
-        // Second run warm-starts from disk and surfaces corrupt entries.
-        std::fs::write(dir.join("user_oops.json"), "{").unwrap();
+        assert_eq!(persisted_users(&dir), 24, "write-behind flushed all users");
+        // Second run warm-starts from disk and surfaces a torn log tail: a
+        // frame header promising 64 payload bytes, cut off after two.
+        let mut log = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("shard_0.log"))
+            .unwrap();
+        std::io::Write::write_all(&mut log, &[64, 0, 0, 0, 0, 0, 0, 0, 1, 2]).unwrap();
+        drop(log);
         let second = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
         assert_eq!(second.state_warnings.len(), 1);
-        assert!(second.state_warnings[0].contains("user_oops"));
+        assert!(second.state_warnings[0].contains("shard_0.log"));
+        assert!(second.state_warnings[0].contains("torn"));
         assert!(second.cache.misses > 0, "warm start loads from the store");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -982,7 +961,7 @@ mod tests {
         };
         let report = FleetEngine::new(config).unwrap().run(&scenario).unwrap();
         assert!(report.sessions > 0);
-        assert_eq!(StateStore::open(&dir).unwrap().list().unwrap().len(), 0);
+        assert_eq!(persisted_users(&dir), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

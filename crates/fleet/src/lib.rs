@@ -6,7 +6,7 @@
 //! onto N shards, each shard owns a `std::thread` worker with its own
 //! deterministic RNG streams, long-term user state lives in a shard-local
 //! in-memory cache with write-behind batch persistence into the durable
-//! [`lingxi_core::StateStore`], and per-shard metric accumulators are
+//! [`lingxi_core::BinaryStateLog`], and per-shard metric accumulators are
 //! merged at epoch barriers in user-id order — so the merged metrics are
 //! bit-identical for *any* shard count under the same seed. See
 //! ARCHITECTURE.md for the data-flow diagram.

@@ -1,6 +1,6 @@
 //! Kill-at-epoch-barrier + resume must be bit-identical to an
-//! uninterrupted run — at 1, 4, and 8 shards, over both persistence
-//! backends and both static and population-dynamics cohorts.
+//! uninterrupted run — at 1, 4, and 8 shards, over the binary state log,
+//! for both static and population-dynamics cohorts.
 //!
 //! This is the checkpoint half of the engine's determinism contract (see
 //! `FleetEngine::run_resumable`): immediately after barrier `k` every
@@ -11,8 +11,8 @@
 use std::path::{Path, PathBuf};
 
 use lingxi_fleet::{
-    ContentionConfig, FleetCheckpoint, FleetConfig, FleetEngine, FleetReport, FleetScenario,
-    PersistenceConfig, PopulationDynamics, RunControl, RunOutcome,
+    ContentionConfig, DispatchConfig, FleetCheckpoint, FleetConfig, FleetEngine, FleetReport,
+    FleetScenario, PopulationDynamics, RunControl, RunOutcome,
 };
 use lingxi_workload::{ArrivalKind, ClassRegistry, Poisson};
 
@@ -32,25 +32,30 @@ fn scenario() -> FleetScenario {
     }
 }
 
-fn config(shards: usize, dir: &Path, persistence: PersistenceConfig) -> FleetConfig {
+fn config(shards: usize, dir: &Path) -> FleetConfig {
     FleetConfig {
         shards,
         epochs: 4,
         seed: 17,
         state_dir: dir.to_path_buf(),
-        persistence,
         ..FleetConfig::default()
     }
 }
 
-/// Add population dynamics (arrivals over shared links) to a config.
-fn with_dynamics(mut config: FleetConfig) -> FleetConfig {
+/// Put a config's users on shared links.
+fn with_contention(mut config: FleetConfig) -> FleetConfig {
     config.contention = Some(ContentionConfig {
         links: 4,
         capacity_kbps: 25_000.0,
         arrival_window: 10.0,
         access_cap_factor: 1.5,
     });
+    config
+}
+
+/// Add population dynamics (arrivals over shared links) to a config.
+fn with_dynamics(config: FleetConfig) -> FleetConfig {
+    let mut config = with_contention(config);
     config.dynamics = Some(PopulationDynamics {
         arrivals: ArrivalKind::Poisson(Poisson { rate_per_sec: 0.05 }),
         registry: ClassRegistry::default_heterogeneous(),
@@ -133,7 +138,7 @@ fn kill_resume_bit_identical_at_1_4_8_shards_binlog() {
     let mut reports = Vec::new();
     for shards in [1usize, 4, 8] {
         let report = assert_kill_resume_bit_identical(
-            |dir| with_dynamics(config(shards, dir, PersistenceConfig::binary_log())),
+            |dir| with_dynamics(config(shards, dir)),
             2,
             &format!("bin{shards}"),
         );
@@ -148,20 +153,16 @@ fn kill_resume_bit_identical_at_1_4_8_shards_binlog() {
 }
 
 #[test]
-fn kill_resume_bit_identical_static_cohort_file_backend() {
-    // The manifest protocol is backend-agnostic: the legacy file-per-user
-    // store checkpoints and resumes the same way.
-    assert_kill_resume_bit_identical(
-        |dir| config(2, dir, PersistenceConfig::FileJson),
-        1,
-        "file2",
-    );
+fn kill_resume_bit_identical_static_population_binlog() {
+    // A static cohort (replayed every epoch, no arrivals) checkpoints and
+    // resumes the same way as a dynamic one.
+    assert_kill_resume_bit_identical(|dir| config(2, dir), 1, "static2");
 }
 
 #[test]
 fn periodic_checkpoints_leave_resumable_manifest() {
     let dir = temp_dir("periodic");
-    let mut cfg = config(2, &dir, PersistenceConfig::binary_log());
+    let mut cfg = config(2, &dir);
     cfg.checkpoint_every = 1;
     let report = FleetEngine::new(cfg).unwrap().run(&scenario()).unwrap();
     assert!(report.sessions > 0);
@@ -173,8 +174,18 @@ fn periodic_checkpoints_leave_resumable_manifest() {
 #[test]
 fn resume_refuses_mismatched_run() {
     let dir = temp_dir("mismatch");
-    let engine = FleetEngine::new(config(2, &dir, PersistenceConfig::binary_log())).unwrap();
-    let outcome = engine
+    let base = || with_contention(config(2, &dir));
+    let resume = |config: FleetConfig| {
+        FleetEngine::new(config).unwrap().run_resumable(
+            &scenario(),
+            RunControl {
+                resume: true,
+                stop_after_epochs: None,
+            },
+        )
+    };
+    let outcome = FleetEngine::new(base())
+        .unwrap()
         .run_resumable(
             &scenario(),
             RunControl {
@@ -185,33 +196,34 @@ fn resume_refuses_mismatched_run() {
         .unwrap();
     assert!(matches!(outcome, RunOutcome::Suspended(_)));
 
-    // Different seed → refuse.
-    let mut other = config(2, &dir, PersistenceConfig::binary_log());
-    other.seed = 99;
-    let err = FleetEngine::new(other)
-        .unwrap()
-        .run_resumable(
-            &scenario(),
-            RunControl {
-                resume: true,
-                stop_after_epochs: None,
-            },
-        )
-        .unwrap_err();
-    assert!(err.to_string().contains("does not match"));
+    // Any drift in the run's configuration → refuse: a different seed,
+    // link capacity, or dispatch policy would splice two runs.
+    let mut other_seed = base();
+    other_seed.seed = 99;
+    let mut other_capacity = base();
+    if let Some(c) = other_capacity.contention.as_mut() {
+        c.capacity_kbps = 20_000.0;
+    }
+    let mut other_dispatch = base();
+    other_dispatch.dispatch = Some(DispatchConfig::lsq(2));
+    for (case, drifted) in [
+        ("seed", other_seed),
+        ("capacity_kbps", other_capacity),
+        ("dispatch", other_dispatch),
+    ] {
+        let err = resume(drifted).expect_err(case);
+        assert!(err.to_string().contains("does not match"), "{case}: {err}");
+    }
+
+    // Settings that cannot change the output do not block a resume.
+    let mut reshaped = base();
+    reshaped.shards = 3;
+    reshaped.checkpoint_every = 1;
+    assert!(matches!(resume(reshaped), Ok(RunOutcome::Complete(_))));
 
     // No manifest at all → refuse.
     let empty = temp_dir("mismatch_empty");
-    let err = FleetEngine::new(config(2, &empty, PersistenceConfig::binary_log()))
-        .unwrap()
-        .run_resumable(
-            &scenario(),
-            RunControl {
-                resume: true,
-                stop_after_epochs: None,
-            },
-        )
-        .unwrap_err();
+    let err = resume(config(2, &empty)).unwrap_err();
     assert!(err.to_string().contains("no checkpoint"));
 
     let _ = std::fs::remove_dir_all(&dir);

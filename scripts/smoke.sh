@@ -15,18 +15,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The smoke matrix. Columns: scenario, experiment id, cargo features
-# ('-' for none), default scale, extra CLI flags. `@resume` marks the
-# one row that is a shell recipe (run/kill/resume + CSV diff) rather
-# than a single experiment invocation.
+# The smoke matrix. Columns: scenario, experiment id, default scale,
+# extra CLI flags. `@resume` marks the one row that is a shell recipe
+# (run/kill/resume + CSV diff) rather than a single experiment
+# invocation.
 SMOKE_TABLE='
-flashcrowd         flashcrowd  -                          0.01
-population         population  -                          0.01  --days 2
-fairness           fairness    -                          0.01
-checkpoint         checkpoint  -                          0.05
-dispatch           dispatch    -                          0.02
-dispatch-refheap   dispatch    lingxi-exp/reference-heap  0.02
-population-resume  @resume     -                          0.01
+flashcrowd         flashcrowd  0.01
+population         population  0.01  --days 2
+fairness           fairness    0.01
+checkpoint         checkpoint  0.05
+dispatch           dispatch    0.02
+population-resume  @resume     0.01
 '
 
 rows() {
@@ -80,8 +79,8 @@ run_row() {
         usage
         exit 2
     fi
-    local _n exp features scale extra
-    read -r _n exp features scale extra <<<"$row"
+    local _n exp scale extra
+    read -r _n exp scale extra <<<"$row"
     if [ -n "$scale_override" ]; then
         scale="$scale_override"
     fi
@@ -90,14 +89,10 @@ run_row() {
         run_resume "$scale"
         return
     fi
-    local feature_args=()
-    if [ "$features" != "-" ]; then
-        feature_args=(--features "$features")
-    fi
     # $extra is a whitespace-separated flag list by design.
     # shellcheck disable=SC2086
-    cargo run --release --locked -p lingxi-exp "${feature_args[@]}" \
-        --bin experiments -- "$exp" --scale "$scale" $extra
+    cargo run --release --locked -p lingxi-exp --bin experiments -- \
+        "$exp" --scale "$scale" $extra
 }
 
 case "${1:-}" in
@@ -106,8 +101,8 @@ case "${1:-}" in
     exit 2
     ;;
 all)
-    # Build once up front so the feature-less rows share one binary and
-    # the log attributes compile time to the build, not the first row.
+    # Build once up front so every row shares one binary and the log
+    # attributes compile time to the build, not the first row.
     cargo build --release --locked -p lingxi-exp --bin experiments
     for name in $(rows | awk '{print $1}'); do
         run_row "$name"
